@@ -55,10 +55,10 @@
 //! Repair state is mutable and single-writer, but reads are **not**
 //! confined to the maintainer: [`RingMaintainer::publish`] carves an
 //! immutable, refcounted [`super::RingSnapshot`] off the session
-//! (copy-on-publish — only the structure groups the last repairs touched
-//! are copied; clean groups are shared with the previous snapshot by
-//! `Arc`), which any number of reader threads can query while further
-//! repairs mutate the session. [`crate::serve::RingService`] wraps this
+//! (copy-on-publish — clean structure groups are shared with the previous
+//! snapshot by `Arc`, and dirty ones are patched from a log of the nodes
+//! the repairs touched), which any number of reader threads can query
+//! while further repairs mutate the session. [`crate::serve::RingService`] wraps this
 //! into a full serving loop with epoch publication.
 
 use std::sync::Arc;
@@ -68,7 +68,7 @@ use crate::bitreach::{
 };
 use crate::mem::grow_to;
 
-use super::snapshot::{RingSnapshot, SnapshotParts, SnapshotPublisher};
+use super::snapshot::{RingSnapshot, SnapshotParts, SnapshotPublisher, TouchLog};
 use super::{EmbedStats, Ffc, NONE};
 
 /// How many [`RingMaintainer`] events ran as true delta repairs and how
@@ -335,6 +335,14 @@ pub struct EmbedSession {
     /// Copy-on-publish dirty flag: `bcast_level` changed since the last
     /// publication (the snapshot's level group).
     snap_level_dirty: bool,
+    /// Nodes whose published entries may have changed since the last
+    /// publication, filled from the delta path's change logs; the
+    /// publisher patches recycled snapshot buffers from it.
+    touched: TouchLog,
+    /// The snapshot this session last published. The touched log and the
+    /// dirty flags describe changes since *that* snapshot, so they hold
+    /// only while it is still the publisher's latest.
+    published: Option<Arc<RingSnapshot>>,
     // -- reusable machinery --
     bits: BitScratch,
     pbits: ParBitScratch,
@@ -500,10 +508,11 @@ impl EmbedSession {
     }
 
     /// Freezes the session's read-side structures into an immutable
-    /// [`RingSnapshot`] via `publisher`, copying only the structure groups
-    /// mutated since the last publication (the ring wiring and membership
-    /// bitmap each carry a dirty flag the repair paths maintain) and
-    /// sharing clean groups with the previous snapshot by `Arc`.
+    /// [`RingSnapshot`] via `publisher`, refilling only the structure
+    /// groups mutated since the last publication (each group carries a
+    /// dirty flag the repair paths maintain, and the touched log names the
+    /// nodes to patch) and sharing clean groups with the previous snapshot
+    /// by `Arc`.
     /// `applied_events` is stamped into the snapshot so readers can line
     /// it up with a prefix of the event sequence.
     ///
@@ -515,6 +524,18 @@ impl EmbedSession {
         applied_events: u64,
     ) -> Arc<RingSnapshot> {
         debug_assert!(self.initialized, "publish before reset");
+        let linked = match (publisher.latest(), &self.published) {
+            (Some(latest), Some(mine)) => Arc::ptr_eq(latest, mine),
+            _ => false,
+        };
+        if !linked {
+            // Another session (or none) published last: nothing recorded
+            // here describes the publisher's previous snapshot.
+            self.snap_ring_dirty = true;
+            self.snap_bstar_dirty = true;
+            self.snap_level_dirty = true;
+            self.touched.mark_all();
+        }
         let words = self.n_nodes.div_ceil(64);
         let parts = SnapshotParts {
             d: self.d,
@@ -525,6 +546,7 @@ impl EmbedSession {
             ring_dirty: self.snap_ring_dirty,
             bstar_dirty: self.snap_bstar_dirty,
             level_dirty: self.snap_level_dirty,
+            touched: self.touched.nodes(),
             succ: &self.succ[..self.n_nodes],
             exit_bits: &self.exit_bits[..words],
             bstar_bits: &self.bstar_bits[..words],
@@ -535,6 +557,8 @@ impl EmbedSession {
         self.snap_ring_dirty = false;
         self.snap_bstar_dirty = false;
         self.snap_level_dirty = false;
+        self.touched.clear();
+        self.published = Some(Arc::clone(&snap));
         snap
     }
 
@@ -594,6 +618,7 @@ impl EmbedSession {
                 + self.best_key.capacity()
                 + self.edge_faults.capacity()
                 + self.touched_necks.capacity())
+            + self.touched.allocated_bytes()
             + self.bits.allocated_bytes()
             + self.pbits.allocated_bytes()
             + self.delta.allocated_bytes()
@@ -693,6 +718,7 @@ impl EmbedSession {
         self.snap_ring_dirty = true;
         self.snap_bstar_dirty = true;
         self.snap_level_dirty = true;
+        self.touched.reset(n);
         self.initialized = true;
     }
 
@@ -905,6 +931,7 @@ impl EmbedSession {
         self.snap_ring_dirty = true;
         self.snap_bstar_dirty = true;
         self.snap_level_dirty = true;
+        self.touched.mark_all();
     }
 
     // ------------------------------------------------------------------
@@ -920,6 +947,7 @@ impl EmbedSession {
         let reach = t.reach;
         let membership = ffc.partition.membership();
         let n = self.n_nodes;
+        self.touched.mark_all();
 
         // Fault mask: kill every member of every dead necklace.
         reach.prepare(&mut self.bits);
@@ -1168,6 +1196,8 @@ impl EmbedSession {
         self.component_size = self.component_size - self.moved_buf.len() + self.moved_in_buf.len();
         if !self.moved_buf.is_empty() || !self.moved_in_buf.is_empty() {
             self.snap_bstar_dirty = true;
+            self.touched.extend(&self.moved_buf);
+            self.touched.extend(&self.moved_in_buf);
         }
 
         // Broadcast repair, with the two passes' change logs merged into
@@ -1236,6 +1266,7 @@ impl EmbedSession {
         let (d, suffix) = (self.d, self.suffix);
         if !self.bc_nodes.is_empty() {
             self.snap_level_dirty = true;
+            self.touched.extend(&self.bc_nodes);
         }
         // Histogram.
         for i in 0..self.bc_nodes.len() {
@@ -1371,10 +1402,12 @@ impl EmbedSession {
     fn rewire_label(&mut self, ffc: &Ffc, label: usize) {
         let (d, suffix) = (self.d, self.suffix);
         let membership = ffc.partition.membership();
-        // Every possible exit of label w is one of the d nodes a·suffix+w.
+        // Every possible exit of label w is one of the d nodes a·suffix+w;
+        // only their `succ` entries and exit bits can change here.
         for a in 0..d {
             let e = a * suffix + label;
             self.exit_bits[e / 64] &= !(1u64 << (e % 64));
+            self.touched.extend(&[e as u32]);
         }
         let base = label * d;
         let child_count = self.label_children[base..base + d]
@@ -1669,8 +1702,9 @@ impl RingMaintainer {
 
     /// Freezes the current session state into an immutable
     /// [`RingSnapshot`] (see [`EmbedSession::publish_snapshot`]): only the
-    /// structure groups mutated since the last publication are copied, the
-    /// rest are shared with the previous snapshot by `Arc`. The snapshot
+    /// structure groups mutated since the last publication are refilled
+    /// (patched at the touched nodes, or copied after a rebuild), the rest
+    /// are shared with the previous snapshot by `Arc`. The snapshot
     /// stays valid — and bit-identical — no matter how many further events
     /// this maintainer absorbs. `applied_events` is the caller's count of
     /// absorbed events, stamped into the snapshot for prefix bookkeeping.

@@ -11,24 +11,45 @@
 //! [`SnapshotPublisher`] builds snapshots **copy-on-publish**: the session
 //! tracks which structure groups a repair actually touched (the ring wiring
 //! `succ`/`exit_bits`; the membership bitmap; the broadcast level group),
-//! and only those are copied into fresh buffers — an untouched group is
-//! shared with the previous snapshot by bumping its `Arc`. A
-//! no-topology-change publication (e.g. a redundant event, or pure stats
-//! refresh) therefore costs O(1). The level group is a compact
-//! [`LevelVec`] (PR 10) — one byte per node instead of four — so the
-//! dominant copy of a dirty publication moved 4× less data. Retired
-//! buffers are reclaimed by refcount once their last reader drops
-//! (grace-period-by-`Arc`) and recycled into free pools, so a steady-state
-//! publish loop stops allocating.
+//! and an untouched group is shared with the previous snapshot by bumping
+//! its `Arc`. A no-topology-change publication (e.g. a redundant event, or
+//! pure stats refresh) therefore costs O(1).
+//!
+//! A touched group is **patched, not copied**. Retired buffers are
+//! reclaimed by refcount once their last reader drops
+//! (grace-period-by-`Arc`) into per-group pools, each tagged with the
+//! `seq` of the snapshot it came from. The session also hands over a log
+//! of the nodes whose entries the repairs since its last publication may
+//! have changed, and the publisher keeps the logs of its last few
+//! publications. A dirty group takes its newest pooled buffer and replays
+//! the logs from that buffer's generation up to now, rewriting only the
+//! logged nodes' entries. Publication thus costs O(touched nodes ×
+//! generations behind) instead of O(n): at B(2,20) a churn batch touches
+//! tens to a few thousand of the 2^20 nodes. A full copy happens only
+//! when patching cannot apply — after a rebuild, reset or infeasible
+//! transition (whose logs say "everything"), when the logs to replay
+//! outgrow one log's capacity (a copy is then about as cheap), when the
+//! newest pooled buffer is older than the log window, or when the pool is
+//! empty (the first publications).
+//!
+//! The read path is unchanged by all this: a snapshot is flat `Vec`s, so
+//! [`crate::serve::ReaderHandle`] lookups pay no indirection.
 
 use std::sync::Arc;
 
 use super::session::RepairOutcome;
 use super::EmbedStats;
 use crate::bitreach::{LevelVec, UNREACHED};
+use crate::mem::reserve_more;
 
-/// Bound on pooled buffers of each width kept for reuse.
+/// Bound on pooled buffers of each group kept for reuse.
 const POOL_CAP: usize = 8;
+/// How many publications' touched-node logs the publisher keeps; a
+/// recycled buffer from further back is refilled by a full copy. It covers
+/// a [`crate::serve::RingService`], whose epoch cell pins the last
+/// `epoch::DEFAULT_SLOTS` (8) snapshots, so buffers come back 9–10
+/// publications old.
+const LOG_WINDOW: usize = 12;
 /// Bound on retired snapshots tracked for buffer reclamation; beyond this
 /// the oldest are dropped from tracking (their readers still keep them
 /// alive — only the *reuse* opportunity is given up).
@@ -244,6 +265,24 @@ impl RingSnapshot {
         Ok(take)
     }
 
+    /// Whether `other` serves exactly the same ring: same graph, stats and
+    /// feasibility, and identical structures — successor overrides (stale
+    /// slots included), exit and membership bitmaps, broadcast levels.
+    /// Publication metadata (`seq`, `applied_events`) is not compared. A
+    /// snapshot whose buffers were patched forward must pass this against
+    /// a full copy of the same session state.
+    #[must_use]
+    pub fn same_structures(&self, other: &RingSnapshot) -> bool {
+        self.d == other.d
+            && self.n_nodes == other.n_nodes
+            && self.stats == other.stats
+            && self.infeasible == other.infeasible
+            && self.succ == other.succ
+            && self.exit_bits == other.exit_bits
+            && self.bstar_bits == other.bstar_bits
+            && self.bcast_level == other.bcast_level
+    }
+
     /// Walks the full served ring from the root into `out` — byte-identical
     /// to [`super::session::EmbedSession::ring_into`] at publication time.
     /// Leaves `out` empty when the snapshot is infeasible.
@@ -281,8 +320,9 @@ impl std::fmt::Debug for RingSnapshot {
 }
 
 /// The borrow bundle a session hands the publisher: current structure
-/// slices plus the copy-on-publish dirty flags saying which groups changed
-/// since the last publication.
+/// slices, the copy-on-publish dirty flags saying which groups changed
+/// since the last publication, and the log of nodes whose entries may
+/// have changed.
 pub(crate) struct SnapshotParts<'a> {
     pub d: usize,
     pub suffix: usize,
@@ -295,11 +335,292 @@ pub(crate) struct SnapshotParts<'a> {
     pub bstar_dirty: bool,
     /// `bcast_level` changed since the last publication.
     pub level_dirty: bool,
+    /// Every node whose `succ` entry, exit or membership bit, or broadcast
+    /// level may differ from the last publication (duplicates allowed);
+    /// `None` when anything may have changed.
+    pub touched: Option<&'a [u32]>,
     pub succ: &'a [u32],
     pub exit_bits: &'a [u64],
     pub bstar_bits: &'a [u64],
     pub bcast_level: &'a LevelVec,
     pub applied_events: u64,
+}
+
+/// Capacity of one touched-node log for a graph of `n_nodes` nodes; a
+/// session that touches more between two publications logs "everything"
+/// instead, and a refill replays at most this many entries. One entry per
+/// 64 nodes is about where patching stops paying: a full copy moves
+/// ~5.25 bytes per node sequentially, a patched entry rewrites four
+/// scattered buffer slots. It also keeps the session's log plus the
+/// publisher's `LOG_WINDOW` logs within 1 MiB at B(2,20)
+/// (13 × 16 Ki entries × 4 B = 832 KiB).
+pub(crate) fn touch_log_cap(n_nodes: usize) -> usize {
+    (n_nodes / 64).max(64)
+}
+
+/// The session side of patch-on-publish: the nodes whose published
+/// entries may have changed since the session's last publication. Bounded
+/// by [`touch_log_cap`]; a rebuild, a reset or an overflowing batch marks
+/// it "everything", which makes the next publication copy in full.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TouchLog {
+    nodes: Vec<u32>,
+    cap: usize,
+    all: bool,
+}
+
+impl TouchLog {
+    /// Sizes the log for a graph of `n_nodes` nodes and marks everything
+    /// touched.
+    pub(crate) fn reset(&mut self, n_nodes: usize) {
+        self.cap = touch_log_cap(n_nodes);
+        reserve_more(&mut self.nodes, self.cap);
+        self.mark_all();
+    }
+
+    /// Anything may have changed (a rebuild or a shape change).
+    pub(crate) fn mark_all(&mut self) {
+        self.all = true;
+        self.nodes.clear();
+    }
+
+    /// Logs `nodes` as touched, or switches to "everything" when they do
+    /// not fit.
+    pub(crate) fn extend(&mut self, nodes: &[u32]) {
+        if self.all {
+            return;
+        }
+        if self.nodes.len() + nodes.len() > self.cap {
+            self.mark_all();
+        } else {
+            self.nodes.extend_from_slice(nodes);
+        }
+    }
+
+    /// The logged nodes, or `None` for "everything".
+    pub(crate) fn nodes(&self) -> Option<&[u32]> {
+        (!self.all).then_some(&self.nodes)
+    }
+
+    /// Starts a new log after a publication.
+    pub(crate) fn clear(&mut self) {
+        self.all = false;
+        self.nodes.clear();
+    }
+
+    pub(crate) fn allocated_bytes(&self) -> usize {
+        4 * self.nodes.capacity()
+    }
+}
+
+/// One publication's touched log, kept by the publisher.
+#[derive(Debug, Default)]
+struct LoggedPublication {
+    /// The publication's sequence number (0 = empty slot).
+    seq: u64,
+    /// Anything may have changed in this publication.
+    all: bool,
+    nodes: Vec<u32>,
+}
+
+/// The touched logs of the last [`LOG_WINDOW`] publications, in recycled
+/// buffers (slot `seq % LOG_WINDOW`), each reserved up front to the
+/// largest log capacity seen so no publication grows one.
+#[derive(Debug, Default)]
+struct LogWindow {
+    slots: Vec<LoggedPublication>,
+    /// Capacity every slot is reserved to.
+    reserved: usize,
+    /// [`touch_log_cap`] of the graph last published: also the most
+    /// entries one refill replays before a full copy is the cheaper way.
+    cap: usize,
+}
+
+impl LogWindow {
+    fn slot(&self, seq: u64) -> &LoggedPublication {
+        &self.slots[(seq % LOG_WINDOW as u64) as usize]
+    }
+
+    fn record(&mut self, seq: u64, touched: Option<&[u32]>, cap: usize) {
+        if self.reserved < cap {
+            self.slots
+                .resize_with(LOG_WINDOW, LoggedPublication::default);
+            for slot in &mut self.slots {
+                reserve_more(&mut slot.nodes, cap);
+            }
+            self.reserved = cap;
+        }
+        self.cap = cap;
+        let slot = &mut self.slots[(seq % LOG_WINDOW as u64) as usize];
+        slot.seq = seq;
+        slot.all = touched.is_none();
+        slot.nodes.clear();
+        slot.nodes.extend_from_slice(touched.unwrap_or_default());
+    }
+
+    /// Every node logged by publications `from..=to`, or `None` when one
+    /// of them is no longer in the window or logged "everything", or when
+    /// together they log more than one log's capacity.
+    fn replay(&self, from: u64, to: u64) -> Option<impl Iterator<Item = usize> + '_> {
+        let covered = from <= to
+            && to - from < LOG_WINDOW as u64
+            && (from..=to).all(|k| {
+                let s = self.slot(k);
+                s.seq == k && !s.all
+            })
+            && (from..=to).map(|k| self.slot(k).nodes.len()).sum::<usize>() <= self.cap;
+        covered
+            .then(|| (from..=to).flat_map(move |k| self.slot(k).nodes.iter().map(|&v| v as usize)))
+    }
+
+    fn allocated_bytes(&self) -> usize {
+        self.slots.iter().map(|s| 4 * s.nodes.capacity()).sum()
+    }
+}
+
+/// A snapshot buffer the publisher refills from the session's live
+/// structure: in full, or node by node from the touched logs.
+trait Refill: Default {
+    type Src: ?Sized;
+    /// Bytes one patched node rewrites.
+    const NODE_BYTES: usize;
+    /// Whether the buffer has the source's shape, so patching applies.
+    fn fits(&self, src: &Self::Src) -> bool;
+    /// Overwrites the buffer with `src`; returns the bytes copied.
+    fn copy_all(&mut self, src: &Self::Src) -> usize;
+    /// Brings node `v`'s entry up to date with `src`.
+    fn patch(&mut self, src: &Self::Src, v: usize);
+}
+
+impl Refill for Vec<u32> {
+    type Src = [u32];
+    const NODE_BYTES: usize = 4;
+
+    fn fits(&self, src: &[u32]) -> bool {
+        self.len() == src.len()
+    }
+
+    fn copy_all(&mut self, src: &[u32]) -> usize {
+        self.clear();
+        self.extend_from_slice(src);
+        4 * src.len()
+    }
+
+    #[inline]
+    fn patch(&mut self, src: &[u32], v: usize) {
+        self[v] = src[v];
+    }
+}
+
+impl Refill for Vec<u64> {
+    type Src = [u64];
+    const NODE_BYTES: usize = 8;
+
+    fn fits(&self, src: &[u64]) -> bool {
+        self.len() == src.len()
+    }
+
+    fn copy_all(&mut self, src: &[u64]) -> usize {
+        self.clear();
+        self.extend_from_slice(src);
+        8 * src.len()
+    }
+
+    #[inline]
+    fn patch(&mut self, src: &[u64], v: usize) {
+        self[v / 64] = src[v / 64];
+    }
+}
+
+impl Refill for LevelVec {
+    type Src = LevelVec;
+    const NODE_BYTES: usize = 1;
+
+    fn fits(&self, src: &LevelVec) -> bool {
+        self.len() == src.len()
+    }
+
+    fn copy_all(&mut self, src: &LevelVec) -> usize {
+        self.copy_from(src);
+        src.len() + 8 * src.overflow_len()
+    }
+
+    #[inline]
+    fn patch(&mut self, src: &LevelVec, v: usize) {
+        self.set(v, src.get(v));
+    }
+}
+
+/// Retired buffers of one group, each tagged with the `seq` of the
+/// snapshot it was reclaimed from: its contents are that publication's.
+type Pool<T> = Vec<(u64, T)>;
+
+/// The publisher's copy counters (see the accessors of the same names).
+#[derive(Debug, Default)]
+struct CopyCounters {
+    patched: u64,
+    full_copies: u64,
+    bytes_copied: u64,
+}
+
+/// Fills a dirty group for publication `seq`: the newest pooled buffer,
+/// patched forward through the logs of the publications after it, or a
+/// full copy when a log in that range is missing or says "everything",
+/// the logs are too long to beat a copy, the buffer's shape differs, or
+/// the pool is empty.
+fn refill<T: Refill + PartialEq<T::Src>>(
+    pool: &mut Pool<T>,
+    logs: &LogWindow,
+    seq: u64,
+    src: &T::Src,
+    counters: &mut CopyCounters,
+) -> Arc<T> {
+    let newest = (0..pool.len()).max_by_key(|&i| pool[i].0);
+    let (from, mut buf) = newest.map_or((seq, T::default()), |i| pool.swap_remove(i));
+    match logs.replay(from + 1, seq).filter(|_| buf.fits(src)) {
+        Some(nodes) => {
+            let mut patched = 0usize;
+            for v in nodes {
+                buf.patch(src, v);
+                patched += 1;
+            }
+            counters.patched += 1;
+            counters.bytes_copied += (patched * T::NODE_BYTES) as u64;
+        }
+        None => {
+            counters.full_copies += 1;
+            counters.bytes_copied += buf.copy_all(src) as u64;
+        }
+    }
+    debug_assert!(
+        buf == *src,
+        "refilled snapshot buffer differs from the session's structure"
+    );
+    Arc::new(buf)
+}
+
+/// Returns a retired buffer to its group's pool (when this was its last
+/// reference); 1 if it was pooled. A full pool keeps its newest buffers,
+/// the cheapest to patch forward.
+fn reclaim<T>(pool: &mut Pool<T>, seq: u64, arc: Arc<T>) -> u64 {
+    let Ok(buf) = Arc::try_unwrap(arc) else {
+        return 0;
+    };
+    if pool.len() < POOL_CAP {
+        pool.push((seq, buf));
+        return 1;
+    }
+    match pool.iter_mut().min_by_key(|(s, _)| *s) {
+        Some(oldest) if oldest.0 < seq => {
+            *oldest = (seq, buf);
+            1
+        }
+        _ => 0,
+    }
+}
+
+fn pooled_bytes<T>(pool: &Pool<T>, bytes: impl Fn(&T) -> usize) -> usize {
+    pool.iter().map(|(_, b)| bytes(b)).sum()
 }
 
 /// Builds [`RingSnapshot`]s copy-on-publish and recycles retired buffers.
@@ -314,9 +635,12 @@ pub struct SnapshotPublisher {
     /// Superseded snapshots still (possibly) held by readers, tracked so
     /// their buffers can be pooled once the last reader lets go.
     retired: Vec<Arc<RingSnapshot>>,
-    free_u32: Vec<Vec<u32>>,
-    free_u64: Vec<Vec<u64>>,
-    free_levels: Vec<LevelVec>,
+    free_succ: Pool<Vec<u32>>,
+    free_exit: Pool<Vec<u64>>,
+    free_bstar: Pool<Vec<u64>>,
+    free_levels: Pool<LevelVec>,
+    logs: LogWindow,
+    copies: CopyCounters,
     publications: u64,
     shared_ring: u64,
     shared_membership: u64,
@@ -362,64 +686,124 @@ impl SnapshotPublisher {
         self.reclaimed
     }
 
+    /// Buffers (`succ`, exit bitmap, membership bitmap, levels) brought up
+    /// to date by replaying touched-node logs onto a recycled buffer.
+    #[must_use]
+    pub fn patched(&self) -> u64 {
+        self.copies.patched
+    }
+
+    /// Buffers filled by a full copy of the session's structure (the first
+    /// publication, after a rebuild or reset, or when no recycled buffer
+    /// is recent enough to patch).
+    #[must_use]
+    pub fn full_copies(&self) -> u64 {
+        self.copies.full_copies
+    }
+
+    /// Bytes written into snapshot buffers by patches and full copies.
+    #[must_use]
+    pub fn bytes_copied(&self) -> u64 {
+        self.copies.bytes_copied
+    }
+
+    /// Bytes reserved by the free pools and the touched-log window —
+    /// constant across steady-state churn once warmed up.
+    #[must_use]
+    pub fn allocated_bytes(&self) -> usize {
+        pooled_bytes(&self.free_succ, |b| 4 * b.capacity())
+            + pooled_bytes(&self.free_exit, |b| 8 * b.capacity())
+            + pooled_bytes(&self.free_bstar, |b| 8 * b.capacity())
+            + pooled_bytes(&self.free_levels, LevelVec::allocated_bytes)
+            + self.logs.allocated_bytes()
+    }
+
     /// The most recently published snapshot, if any.
     #[must_use]
     pub fn latest(&self) -> Option<&Arc<RingSnapshot>> {
         self.prev.as_ref()
     }
 
-    /// Assembles a snapshot from the session's current structures, copying
-    /// only the groups flagged dirty and sharing the rest with the previous
-    /// publication.
+    /// Assembles a snapshot from the session's current structures: clean
+    /// groups are shared with the previous publication, dirty ones are
+    /// refilled (patched or copied, see [`refill`]).
     pub(crate) fn build(&mut self, parts: SnapshotParts<'_>) -> Arc<RingSnapshot> {
         self.sweep_retired();
-        let can_share = |prev: Option<&Arc<RingSnapshot>>| {
-            prev.is_some_and(|p| p.n_nodes == parts.n_nodes && p.d == parts.d)
+        let seq = self.publications + 1;
+        self.logs
+            .record(seq, parts.touched, touch_log_cap(parts.n_nodes));
+        let prev = self
+            .prev
+            .as_ref()
+            .filter(|p| p.n_nodes == parts.n_nodes && p.d == parts.d);
+        let (succ, exit_bits) = match prev.filter(|_| !parts.ring_dirty) {
+            Some(p) => {
+                debug_assert_eq!(&**p.succ, parts.succ, "ring flagged clean but succ differs");
+                debug_assert_eq!(
+                    &**p.exit_bits, parts.exit_bits,
+                    "ring flagged clean but exit bitmap differs"
+                );
+                self.shared_ring += 1;
+                (Arc::clone(&p.succ), Arc::clone(&p.exit_bits))
+            }
+            None => (
+                refill(
+                    &mut self.free_succ,
+                    &self.logs,
+                    seq,
+                    parts.succ,
+                    &mut self.copies,
+                ),
+                refill(
+                    &mut self.free_exit,
+                    &self.logs,
+                    seq,
+                    parts.exit_bits,
+                    &mut self.copies,
+                ),
+            ),
         };
-        let share_ring = !parts.ring_dirty && can_share(self.prev.as_ref());
-        let share_bstar = !parts.bstar_dirty && can_share(self.prev.as_ref());
-        let (succ, exit_bits) = if share_ring {
-            let p = self.prev.as_ref().expect("share_ring implies prev");
-            debug_assert_eq!(&**p.succ, parts.succ, "ring flagged clean but succ differs");
-            debug_assert_eq!(
-                &**p.exit_bits, parts.exit_bits,
-                "ring flagged clean but exit bitmap differs"
-            );
-            self.shared_ring += 1;
-            (Arc::clone(&p.succ), Arc::clone(&p.exit_bits))
-        } else {
-            (self.copy_u32(parts.succ), self.copy_u64(parts.exit_bits))
+        let bstar_bits = match prev.filter(|_| !parts.bstar_dirty) {
+            Some(p) => {
+                debug_assert_eq!(
+                    &**p.bstar_bits, parts.bstar_bits,
+                    "membership flagged clean but bitmap differs"
+                );
+                self.shared_membership += 1;
+                Arc::clone(&p.bstar_bits)
+            }
+            None => refill(
+                &mut self.free_bstar,
+                &self.logs,
+                seq,
+                parts.bstar_bits,
+                &mut self.copies,
+            ),
         };
-        let bstar_bits = if share_bstar {
-            let p = self.prev.as_ref().expect("share_bstar implies prev");
-            debug_assert_eq!(
-                &**p.bstar_bits, parts.bstar_bits,
-                "membership flagged clean but bitmap differs"
-            );
-            self.shared_membership += 1;
-            Arc::clone(&p.bstar_bits)
-        } else {
-            self.copy_u64(parts.bstar_bits)
+        let bcast_level = match prev.filter(|_| !parts.level_dirty) {
+            Some(p) => {
+                debug_assert_eq!(
+                    &*p.bcast_level, parts.bcast_level,
+                    "levels flagged clean but broadcast levels differ"
+                );
+                self.shared_levels += 1;
+                Arc::clone(&p.bcast_level)
+            }
+            None => refill(
+                &mut self.free_levels,
+                &self.logs,
+                seq,
+                parts.bcast_level,
+                &mut self.copies,
+            ),
         };
-        let share_levels = !parts.level_dirty && can_share(self.prev.as_ref());
-        let bcast_level = if share_levels {
-            let p = self.prev.as_ref().expect("share_levels implies prev");
-            debug_assert_eq!(
-                &*p.bcast_level, parts.bcast_level,
-                "levels flagged clean but broadcast levels differ"
-            );
-            self.shared_levels += 1;
-            Arc::clone(&p.bcast_level)
-        } else {
-            self.copy_levels(parts.bcast_level)
-        };
-        self.publications += 1;
+        self.publications = seq;
         let snap = Arc::new(RingSnapshot {
             d: parts.d,
             suffix: parts.suffix,
             n_nodes: parts.n_nodes,
             applied_events: parts.applied_events,
-            seq: self.publications,
+            seq,
             stats: parts.stats,
             infeasible: parts.infeasible,
             succ,
@@ -435,8 +819,9 @@ impl SnapshotPublisher {
 
     /// Harvests retired snapshots whose last reader has gone: their buffers
     /// (when this publisher holds the last reference to them too) go back
-    /// to the free pools. Readers that still hold a snapshot keep it alive
-    /// untouched — reclamation is purely refcount-driven.
+    /// to the free pools, tagged with the snapshot's `seq`. Readers that
+    /// still hold a snapshot keep it alive untouched — reclamation is
+    /// purely refcount-driven.
     fn sweep_retired(&mut self) {
         let mut i = 0;
         while i < self.retired.len() {
@@ -448,17 +833,11 @@ impl SnapshotPublisher {
             // We held the only strong reference and no weaks exist, so this
             // cannot fail; if it somehow does, dropping is still correct.
             if let Ok(snap) = Arc::try_unwrap(gone) {
-                if let Ok(buf) = Arc::try_unwrap(snap.succ) {
-                    self.pool_u32(buf);
-                }
-                for arc in [snap.exit_bits, snap.bstar_bits] {
-                    if let Ok(buf) = Arc::try_unwrap(arc) {
-                        self.pool_u64(buf);
-                    }
-                }
-                if let Ok(buf) = Arc::try_unwrap(snap.bcast_level) {
-                    self.pool_levels(buf);
-                }
+                let seq = snap.seq;
+                self.reclaimed += reclaim(&mut self.free_succ, seq, snap.succ)
+                    + reclaim(&mut self.free_exit, seq, snap.exit_bits)
+                    + reclaim(&mut self.free_bstar, seq, snap.bstar_bits)
+                    + reclaim(&mut self.free_levels, seq, snap.bcast_level);
             }
         }
         if self.retired.len() > RETIRED_CAP {
@@ -466,47 +845,6 @@ impl SnapshotPublisher {
             let excess = self.retired.len() - RETIRED_CAP;
             self.retired.drain(..excess);
         }
-    }
-
-    fn pool_u32(&mut self, buf: Vec<u32>) {
-        if self.free_u32.len() < POOL_CAP {
-            self.free_u32.push(buf);
-            self.reclaimed += 1;
-        }
-    }
-
-    fn pool_u64(&mut self, buf: Vec<u64>) {
-        if self.free_u64.len() < 2 * POOL_CAP {
-            self.free_u64.push(buf);
-            self.reclaimed += 1;
-        }
-    }
-
-    fn copy_u32(&mut self, src: &[u32]) -> Arc<Vec<u32>> {
-        let mut buf = self.free_u32.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(src);
-        Arc::new(buf)
-    }
-
-    fn copy_u64(&mut self, src: &[u64]) -> Arc<Vec<u64>> {
-        let mut buf = self.free_u64.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(src);
-        Arc::new(buf)
-    }
-
-    fn pool_levels(&mut self, buf: LevelVec) {
-        if self.free_levels.len() < POOL_CAP {
-            self.free_levels.push(buf);
-            self.reclaimed += 1;
-        }
-    }
-
-    fn copy_levels(&mut self, src: &LevelVec) -> Arc<LevelVec> {
-        let mut buf = self.free_levels.pop().unwrap_or_default();
-        buf.copy_from(src);
-        Arc::new(buf)
     }
 }
 
@@ -631,6 +969,14 @@ mod tests {
                 n_nodes: n
             })
         );
+    }
+
+    #[test]
+    fn touched_logs_stay_within_a_mebibyte_at_b2_20() {
+        // The session's log plus the publisher's window, all reserved to
+        // the per-log capacity.
+        let bytes = (LOG_WINDOW + 1) * 4 * touch_log_cap(1 << 20);
+        assert!(bytes <= 1 << 20, "{bytes} bytes of touched logs");
     }
 
     #[test]

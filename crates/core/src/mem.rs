@@ -68,7 +68,10 @@ pub(crate) fn reserve_more<T>(v: &mut Vec<T>, cap: usize) {
 /// diameter. Reads and writes stay exact for *every* `u32` level, so the
 /// compact array is bit-for-bit interchangeable with a `u32` array — the
 /// property the differential suites pin.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Equality is logical: the byte encodings must match and the side tables
+/// must hold the same entries, in any order.
+#[derive(Clone, Debug, Default)]
 pub struct LevelVec {
     /// One byte per node: the inline level, [`UNREACHED_U8`], or the
     /// escape marker.
@@ -77,6 +80,18 @@ pub struct LevelVec {
     /// per node.
     overflow: Vec<(u32, u32)>,
 }
+
+impl PartialEq for LevelVec {
+    fn eq(&self, other: &Self) -> bool {
+        // At most one side-table entry per node, so equal lengths plus
+        // containment is set equality.
+        self.bytes == other.bytes
+            && self.overflow.len() == other.overflow.len()
+            && self.overflow.iter().all(|e| other.overflow.contains(e))
+    }
+}
+
+impl Eq for LevelVec {}
 
 impl LevelVec {
     /// Creates an empty level array.
@@ -165,7 +180,7 @@ impl LevelVec {
     }
 
     /// Overwrites `self` with a copy of `src`, reusing `self`'s buffers —
-    /// the copy-on-publish path of the snapshot publisher's level pool.
+    /// the full-copy fallback of the snapshot publisher's level pool.
     pub fn copy_from(&mut self, src: &LevelVec) {
         self.bytes.clear();
         self.bytes.extend_from_slice(&src.bytes);
@@ -302,6 +317,22 @@ mod tests {
         }
         lv.set(2, UNREACHED);
         assert_eq!(lv.overflow_len(), 0);
+    }
+
+    #[test]
+    fn equality_ignores_side_table_order() {
+        let mut a = LevelVec::new();
+        a.grow(8);
+        let mut b = a.clone();
+        a.set(2, 300);
+        a.set(5, 400);
+        b.set(5, 400);
+        b.set(2, 300);
+        assert_eq!(a, b, "same levels, side-table entries in another order");
+        b.set(5, 401);
+        assert_ne!(a, b);
+        b.set(5, 7);
+        assert_ne!(a, b, "an escaped slot differs from an inline one");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! uncontended unless the writer lapped the whole slot ring). Snapshots
 //! are copy-on-publish ([`crate::ffc::SnapshotPublisher`]): a repair that
 //! only touched the membership bitmap republishes the ring wiring by
-//! refcount, and retired buffers recycle once their last reader drops.
+//! refcount, retired buffers recycle once their last reader drops, and a
+//! recycled buffer is brought up to date by patching only the nodes the
+//! repairs since its generation touched.
 //!
 //! Consistency model: readers are **eventually consistent with monotone
 //! generations** — every snapshot a reader observes is the *exact* output
@@ -124,6 +126,15 @@ pub struct ServiceReport {
     pub shared_levels: u64,
     /// Retired snapshot buffers recycled into the publisher's pools.
     pub reclaimed_buffers: u64,
+    /// Snapshot buffers brought up to date by patching a recycled buffer
+    /// from the touched-node logs ([`SnapshotPublisher::patched`]).
+    pub patched: u64,
+    /// Snapshot buffers filled by a full copy
+    /// ([`SnapshotPublisher::full_copies`]).
+    pub full_copies: u64,
+    /// Bytes written into snapshot buffers by patches and full copies
+    /// ([`SnapshotPublisher::bytes_copied`]).
+    pub bytes_copied: u64,
     /// Per-batch repair times (the `apply_batch` call), nanoseconds.
     pub repair_ns: Vec<u64>,
     /// Per-batch publication times (snapshot build + epoch publish),
@@ -465,6 +476,9 @@ fn writer_loop(
     report.shared_membership = publisher.shared_membership();
     report.shared_levels = publisher.shared_levels();
     report.reclaimed_buffers = publisher.reclaimed();
+    report.patched = publisher.patched();
+    report.full_copies = publisher.full_copies();
+    report.bytes_copied = publisher.bytes_copied();
     report.repairs = maint.repairs();
     report.effective_shards = maint.effective_shards(ffc);
     report
